@@ -17,12 +17,17 @@ use a Lee-Reddy-style greedy heuristic [22]:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.core.feedback import analyze_feedback_latch, remodel_feedback_latches
+from repro.core.feedback import (
+    _analyze_feedback_latch,
+    _topo_rank,
+    remodel_feedback_latches,
+)
 from repro.netlist.circuit import Circuit
 from repro.netlist.graph import latch_dependency_graph
 from repro.netlist.transform import ExposedCircuit, expose_latches
@@ -48,12 +53,10 @@ def minimum_feedback_vertex_set(
     cut comparably many cycles.
     """
     g = graph.copy()
-    fvs: Set[str] = set()
-    # Self-loops first: each is unavoidable.
-    for node in list(g.nodes):
-        if g.has_edge(node, node):
-            fvs.add(node)
-            g.remove_node(node)
+    # Self-loops first: each is unavoidable.  Deleting nodes creates no new
+    # self-loops, so this is the only pass that looks for them.
+    fvs: Set[str] = {n for n in g.nodes if g.has_edge(n, n)}
+    g.remove_nodes_from(fvs)
 
     def score(n: str) -> float:
         base = g.in_degree(n) * g.out_degree(n)
@@ -61,22 +64,41 @@ def minimum_feedback_vertex_set(
             return float(base)
         return base / max(weight.get(n, 1.0), 1e-9)
 
-    while True:
-        # Restrict attention to non-trivial SCCs.
-        cyclic_nodes: Set[str] = set()
-        for comp in nx.strongly_connected_components(g):
+    # Candidates are the nodes of non-trivial SCCs.  Deleting a node can
+    # only split the SCC that held it, so SCCs are computed once and then
+    # only that one is re-split.  The next pick is the max of
+    # ``(score, str(n))``, kept in a lazy heap: scores only fall, so an
+    # entry whose score is no longer current is stale and skipped.
+    tie = {n: i for i, n in enumerate(sorted(g.nodes, key=str))}
+    scc_of: Dict[str, Set[str]] = {}
+    heap: List[Tuple[float, int, str]] = []
+
+    def push(n: str) -> None:
+        heapq.heappush(heap, (-score(n), -tie[n], n))
+
+    def add_sccs(sub: "nx.DiGraph") -> None:
+        for comp in nx.strongly_connected_components(sub):
             if len(comp) > 1:
-                cyclic_nodes |= comp
-        if not cyclic_nodes:
-            break
-        best = max(cyclic_nodes, key=lambda n: (score(n), str(n)))
+                for n in comp:
+                    scc_of[n] = comp
+                    push(n)
+
+    add_sccs(g)
+    while heap:
+        neg_score, _, best = heapq.heappop(heap)
+        if best not in scc_of or -neg_score != score(best):
+            continue
         fvs.add(best)
+        comp = scc_of.pop(best)
+        comp.discard(best)
+        for n in comp:
+            del scc_of[n]
+        neighbours = set(g.predecessors(best)) | set(g.successors(best))
         g.remove_node(best)
-        # New self-loops cannot appear (we removed nodes), but keep safe:
-        for node in list(g.nodes):
-            if g.has_edge(node, node):
-                fvs.add(node)
-                g.remove_node(node)
+        add_sccs(g.subgraph(comp))  # re-pushes what is left of ``comp``
+        for n in neighbours - comp:
+            if n in scc_of:
+                push(n)
     return fvs
 
 
@@ -133,9 +155,10 @@ def choose_latches_to_expose(
 
     to_remodel: Set[str] = set()
     if use_unateness:
+        rank = _topo_rank(circuit)
         for node in list(g.nodes):
             if g.has_edge(node, node):
-                analysis = analyze_feedback_latch(circuit, node)
+                analysis = _analyze_feedback_latch(circuit, node, None, rank)
                 if analysis.positive_unate:
                     # Remodelling removes only the self-loop edge; paths
                     # through other latches remain.

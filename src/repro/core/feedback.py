@@ -59,11 +59,41 @@ def next_state_bdd(
     ``e·data + ē·x`` is returned, so the unateness test covers Fig. 14-style
     conditional-update structures uniformly.
     """
+    return _next_state_bdd(circuit, latch_name, manager, _topo_rank(circuit))
+
+
+def _topo_rank(circuit: Circuit) -> Dict[str, int]:
+    """Position of every gate in one topological order of ``circuit``.
+
+    Cone gates are built in this order.  BDD node creation order, and with
+    it the names of materialised ``__fb_*`` signals, follows the gate order,
+    so a plain cone post-order would rename signals.
+    """
+    return {gate.output: i for i, gate in enumerate(circuit.topo_gates())}
+
+
+def _next_state_bdd(
+    circuit: Circuit,
+    latch_name: str,
+    manager: Optional[BDD],
+    rank: Dict[str, int],
+) -> Tuple[BDD, int]:
+    """:func:`next_state_bdd` over a precomputed gate ``rank``.
+
+    Only the latch's combinational fanin cone is visited.  ``rank`` is
+    refreshed in place if the cone holds a gate added since it was taken.
+    """
     if manager is None:
         manager = BDD()
     latch = circuit.latches[latch_name]
     roots = [latch.data] + ([latch.enable] if latch.enable is not None else [])
-    cone = combinational_fanin_cone(circuit, roots)
+    cone_gates = [
+        s for s in combinational_fanin_cone(circuit, roots) if s in circuit.gates
+    ]
+    if any(s not in rank for s in cone_gates):
+        rank.clear()
+        rank.update(_topo_rank(circuit))
+    cone_gates.sort(key=rank.__getitem__)
     nodes: Dict[str, int] = {}
 
     # Leaves of the cone (PIs and latch outputs) become variables, ordered
@@ -85,11 +115,10 @@ def next_state_bdd(
 
     for leaf in leaf_order():
         nodes[leaf] = manager.add_var(leaf)
-    for gate in circuit.topo_gates():
-        if gate.output not in cone:
-            continue
+    for out in cone_gates:
+        gate = circuit.gates[out]
         fanins = [nodes[s] for s in gate.inputs]
-        nodes[gate.output] = manager.from_sop(gate.sop, fanins)
+        nodes[out] = manager.from_sop(gate.sop, fanins)
     data = nodes[latch.data]
     if latch.enable is None:
         return manager, data
@@ -146,7 +175,19 @@ def analyze_feedback_latch(
     circuit: Circuit, latch_name: str, manager: Optional[BDD] = None
 ) -> FeedbackAnalysis:
     """Check the paper's feedback condition for one self-loop latch."""
-    manager, f = next_state_bdd(circuit, latch_name, manager)
+    return _analyze_feedback_latch(
+        circuit, latch_name, manager, _topo_rank(circuit)
+    )
+
+
+def _analyze_feedback_latch(
+    circuit: Circuit,
+    latch_name: str,
+    manager: Optional[BDD],
+    rank: Dict[str, int],
+) -> FeedbackAnalysis:
+    """:func:`analyze_feedback_latch` over a precomputed gate ``rank``."""
+    manager, f = _next_state_bdd(circuit, latch_name, manager, rank)
     if latch_name not in manager.support(f):
         # No true dependence on itself: trivially fine (enable = 1).
         return FeedbackAnalysis(
@@ -178,8 +219,11 @@ def remodel_feedback_latches(
     result = circuit.copy(circuit.name + "_remodel")
     remodelled: List[str] = []
     failed: List[str] = []
+    # Gates added below are read only by their own latch, so no later
+    # latch's cone reaches them and the order taken here stays valid.
+    rank = _topo_rank(result)
     for name in latches:
-        analysis = analyze_feedback_latch(result, name)
+        analysis = _analyze_feedback_latch(result, name, None, rank)
         if not analysis.positive_unate:
             failed.append(name)
             continue
@@ -188,13 +232,10 @@ def remodel_feedback_latches(
         assert analysis.enable_bdd is not None and analysis.data_bdd is not None
         e_sig = _materialize(manager, analysis.enable_bdd, result, f"__fb_en_{name}")
         d_sig = _materialize(manager, analysis.data_bdd, result, f"__fb_d_{name}")
-        old = result.latches[name]
-        if old.enable is not None:
-            # Already enabled (Fig. 14 conditional update): the effective
-            # next-state decomposition replaces both enable and data.
-            result.replace_latch(Latch(name, d_sig, e_sig))
-        else:
-            result.replace_latch(Latch(name, d_sig, e_sig))
+        # A latch that was already enabled (Fig. 14 conditional update)
+        # is handled the same way: the effective next-state decomposition
+        # replaces both enable and data.
+        result.replace_latch(Latch(name, d_sig, e_sig))
         remodelled.append(name)
     return result, remodelled, failed
 

@@ -12,7 +12,7 @@ Provides the directed-graph views used by the paper:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 import networkx as nx
 

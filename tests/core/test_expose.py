@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
+from repro.bench.industrial import build_table2_circuit
 from repro.bench.iscas_like import iscas_like_circuit
 from repro.bench.minmax import minmax_circuit
 from repro.core.expose import (
@@ -13,7 +16,8 @@ from repro.core.expose import (
     prepare_circuit,
 )
 from repro.netlist.build import CircuitBuilder
-from repro.netlist.graph import feedback_latches
+from repro.netlist.circuit import Circuit
+from repro.netlist.graph import feedback_latches, self_loop_latches
 from repro.netlist.validate import validate_circuit
 
 
@@ -53,6 +57,74 @@ class TestMFVS:
         g = nx.DiGraph()
         g.add_edges_from([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")])
         assert len(minimum_feedback_vertex_set(g)) == 2
+
+
+def reference_mfvs(graph, weight=None):
+    """The from-scratch greedy: whole-graph SCCs and a full scan per pick."""
+    g = graph.copy()
+    fvs = set()
+    for node in list(g.nodes):
+        if g.has_edge(node, node):
+            fvs.add(node)
+            g.remove_node(node)
+
+    def score(n):
+        base = g.in_degree(n) * g.out_degree(n)
+        if weight is None:
+            return float(base)
+        return base / max(weight.get(n, 1.0), 1e-9)
+
+    while True:
+        cyclic_nodes = set()
+        for comp in nx.strongly_connected_components(g):
+            if len(comp) > 1:
+                cyclic_nodes |= comp
+        if not cyclic_nodes:
+            break
+        best = max(cyclic_nodes, key=lambda n: (score(n), str(n)))
+        fvs.add(best)
+        g.remove_node(best)
+    return fvs
+
+
+def random_instance(seed):
+    """A seeded latch-graph stand-in: self-loops, pinned nodes, weights."""
+    rng = random.Random(seed)
+    # Names like l10 < l2 make the str tie-break differ from creation order.
+    nodes = [f"l{i}" for i in range(rng.randint(1, 40))]
+    g = nx.DiGraph()
+    g.add_nodes_from(nodes)
+    density = rng.choice([0.03, 0.08, 0.15, 0.3])
+    for u in nodes:
+        for v in nodes:
+            if u != v and rng.random() < density:
+                g.add_edge(u, v)
+        if rng.random() < 0.1:
+            g.add_edge(u, u)
+    # Pinned latches leave the graph before the FVS runs, as in
+    # choose_latches_to_expose.
+    g.remove_nodes_from(rng.sample(nodes, rng.randint(0, len(nodes) // 5)))
+    # Small integer penalties tie often; some nodes take the default.
+    weight = {
+        n: rng.choice([0.0, 1.0, 2.0, 3.0, rng.uniform(0.5, 5.0)])
+        for n in g.nodes
+        if rng.random() < 0.8
+    }
+    return g, weight
+
+
+class TestMFVSMatchesReference:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_digraph(self, seed):
+        g, weight = random_instance(seed)
+        assert minimum_feedback_vertex_set(g) == reference_mfvs(g)
+        assert minimum_feedback_vertex_set(g, weight) == reference_mfvs(g, weight)
+
+    def test_input_graph_untouched(self):
+        g, weight = random_instance(7)
+        edges = sorted(g.edges)
+        minimum_feedback_vertex_set(g, weight)
+        assert sorted(g.edges) == edges
 
 
 class TestChoose:
@@ -97,6 +169,26 @@ class TestChoose:
         c = iscas_like_circuit("t", n_latches=40, pct_exposed=50, seed=3)
         exposed, _ = choose_latches_to_expose(c, use_unateness=False)
         assert len(exposed) == 20
+
+
+    def test_one_topological_sort_per_call(self, monkeypatch):
+        # The unateness test builds one next-state BDD per self-loop latch;
+        # each must reuse one gate order, not re-sort the whole circuit.
+        c = build_table2_circuit("ex3")
+        assert len(self_loop_latches(c)) > 10
+        calls = []
+        topo_gates = Circuit.topo_gates
+
+        def counting(circuit):
+            calls.append(circuit)
+            return topo_gates(circuit)
+
+        monkeypatch.setattr(Circuit, "topo_gates", counting)
+        choose_latches_to_expose(c, use_unateness=True)
+        assert len(calls) <= 2
+        calls.clear()
+        prepare_circuit(c, use_unateness=True)
+        assert 0 < len(calls) <= 4
 
 
 class TestPrepare:

@@ -8,6 +8,8 @@ import pytest
 
 from repro.bdd.bdd import BDD
 from repro.bench.counterex import fig14_conditional_update
+from repro.bench.industrial import build_table2_circuit
+from repro.bench.minmax import minmax_circuit
 from repro.core.feedback import (
     analyze_feedback_latch,
     next_state_bdd,
@@ -15,7 +17,11 @@ from repro.core.feedback import (
     unate_decomposition,
 )
 from repro.netlist.build import CircuitBuilder
-from repro.netlist.graph import feedback_latches
+from repro.netlist.graph import (
+    combinational_fanin_cone,
+    feedback_latches,
+    self_loop_latches,
+)
 from repro.netlist.validate import validate_circuit
 from repro.sim.exact3 import exact3_equivalent
 
@@ -152,6 +158,20 @@ class TestRemodel:
         ]
         assert exact3_equivalent(c, new, seqs)
 
+    def test_repeated_name_reads_gates_added_since(self):
+        # The second pass over "q" reads the gates the first one added.
+        c = conditional_update_circuit()
+        new, remodelled, failed = remodel_feedback_latches(c, ["q", "q"])
+        assert remodelled == ["q", "q"] and not failed
+        validate_circuit(new)
+        assert not feedback_latches(new)
+        rng = random.Random(3)
+        seqs = [
+            [{"d": rng.random() < 0.5, "e": rng.random() < 0.5} for _ in range(6)]
+            for _ in range(30)
+        ]
+        assert exact3_equivalent(c, new, seqs)
+
     def test_toggle_reported_failed(self):
         c = toggle_circuit()
         new, remodelled, failed = remodel_feedback_latches(c)
@@ -177,3 +197,68 @@ class TestRemodel:
             for _ in range(25)
         ]
         assert exact3_equivalent(c, new, seqs)
+
+
+def reference_next_state_bdd(circuit, latch_name):
+    """The whole-circuit build: filter every gate of ``topo_gates()``."""
+    manager = BDD()
+    latch = circuit.latches[latch_name]
+    roots = [latch.data] + ([latch.enable] if latch.enable is not None else [])
+    cone = combinational_fanin_cone(circuit, roots)
+    nodes = {}
+    seen = set()
+    stack = list(roots)
+    while stack:
+        sig = stack.pop()
+        if sig in seen:
+            continue
+        seen.add(sig)
+        if sig in circuit.gates:
+            stack.extend(reversed(circuit.gates[sig].inputs))
+        else:
+            nodes[sig] = manager.add_var(sig)
+    for gate in circuit.topo_gates():
+        if gate.output in cone:
+            fanins = [nodes[s] for s in gate.inputs]
+            nodes[gate.output] = manager.from_sop(gate.sop, fanins)
+    f = nodes[latch.data]
+    if latch.enable is not None:
+        x = manager.add_var(latch_name)
+        f = manager.ite(nodes[latch.enable], f, x)
+    return manager, f
+
+
+def bdd_snapshot(manager, f):
+    """Root, variable order and node table: equal iff built alike."""
+    return f, manager.var_names, manager._level, manager._low, manager._high
+
+
+class TestConeLocalNextState:
+    """The cone-local build creates the same nodes in the same order.
+
+    Node creation order fixes the names of materialised ``__fb_*``
+    signals, so equal functions are not enough.
+    """
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [build_table2_circuit("ex3"), minmax_circuit(10)],
+        ids=["ex3", "minmax10"],
+    )
+    def test_matches_whole_circuit_build(self, circuit):
+        latches = sorted(self_loop_latches(circuit))
+        assert latches
+        for name in latches:
+            manager, f = next_state_bdd(circuit, name)
+            assert bdd_snapshot(manager, f) == bdd_snapshot(
+                *reference_next_state_bdd(circuit, name)
+            ), name
+
+    def test_enabled_latch_matches_whole_circuit_build(self):
+        c, remodelled, _ = remodel_feedback_latches(fig14_conditional_update(3))
+        assert all(c.latches[name].enable is not None for name in remodelled)
+        for name in remodelled:
+            manager, f = next_state_bdd(c, name)
+            assert bdd_snapshot(manager, f) == bdd_snapshot(
+                *reference_next_state_bdd(c, name)
+            ), name

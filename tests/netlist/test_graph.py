@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
+import typing
+
+from repro.netlist import graph
 from repro.netlist.build import CircuitBuilder
 from repro.netlist.graph import (
     combinational_fanin_cone,
@@ -104,3 +108,14 @@ class TestCones:
         (a,) = builder.inputs("a")
         builder.NOT(a)
         assert not has_combinational_cycle(builder.circuit)
+
+
+def test_every_function_annotation_resolves():
+    functions = [
+        f
+        for _, f in inspect.getmembers(graph, inspect.isfunction)
+        if f.__module__ == graph.__name__
+    ]
+    assert len(functions) > 10
+    for f in functions:
+        typing.get_type_hints(f)  # NameError on an unimported annotation
